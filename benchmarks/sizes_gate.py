@@ -14,8 +14,11 @@ rate lands in [0, 1], and ``byte_latency_gain`` computes against NC.
 
 Usage::
 
-    python benchmarks/sizes_gate.py              # the full gate (CI job)
-    python benchmarks/sizes_gate.py --skip-off   # sized-path checks only
+    python benchmarks/sizes_gate.py              # the full gate
+    python benchmarks/sizes_gate.py --skip-off   # sized-path checks only (CI job)
+
+CI runs ``--skip-off``: the sizes-off half is the same 15-case golden
+suite the overlay-smoke job runs through ``overlay_gate.py``.
 """
 
 from __future__ import annotations

@@ -58,7 +58,6 @@ class TieredCache(Cache):
         client_capacity: int,
         value_fn: Callable[[Hashable, int], float] | None = None,
         lfu_reset_on_evict: bool = False,
-        on_tier: Callable[[Hashable, bool | None], None] | None = None,
         by_bytes: bool = False,
     ) -> None:
         """
@@ -74,10 +73,6 @@ class TieredCache(Cache):
         lfu_reset_on_evict:
             Counting mode of the underlying unified LFU (see
             :class:`~repro.cache.lfu.LfuCache`).
-        on_tier:
-            Optional tier-transition listener forwarded to the
-            :class:`~repro.cache.topk.TopKTracker` (see its docstring);
-            the hot-path presence indexes subscribe here.
         by_bytes:
             When True, both capacities are *byte* budgets and inserts
             carry per-object sizes: replacement runs the size-aware LFU
@@ -93,9 +88,7 @@ class TieredCache(Cache):
         self._value_fn = value_fn or (lambda _key, freq: float(freq))
         self._store = LfuCache(self.capacity, reset_on_evict=lfu_reset_on_evict)
         self._tiers = TopKTracker(
-            proxy_capacity,
-            on_tier=on_tier,
-            budget=proxy_capacity if by_bytes else None,
+            proxy_capacity, budget=proxy_capacity if by_bytes else None
         )
         self.stats = self._store.stats  # single source of truth
 

@@ -10,27 +10,15 @@ heaps: a min-heap over the top-K ("who gets demoted first") and a
 max-heap over the rest ("who gets promoted first").  All operations are
 O(log n); the balance invariant ``len(top) == min(k, total)`` is restored
 after every mutation.
-
-An optional ``on_tier`` listener observes the partition from outside:
-it is called with ``(key, True)`` when a key lands in the top partition,
-``(key, False)`` when it lands in the rest, and ``(key, None)`` when it
-leaves the tracker.  Events may repeat a key's current placement (an
-``add`` followed by a rebalance can report the same destination twice);
-the *last* event per mutation always reflects the final placement, so
-idempotent handlers (set insert/discard) see a consistent picture.  The
-presence indexes of the hot-path engine hang off this hook.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Hashable, Iterator
 
 from .heapdict import HeapDict
 
 __all__ = ["TopKTracker"]
-
-#: Listener signature: (key, in_top) with in_top True/False/None (removed).
-TierListener = Callable[[Hashable, Optional[bool]], None]
 
 
 class TopKTracker:
@@ -48,14 +36,9 @@ class TopKTracker:
       value-ordered swap is only taken when it stays within budget.
     """
 
-    __slots__ = ("k", "budget", "_top", "_rest", "_on_tier", "_sizes", "_top_bytes")
+    __slots__ = ("k", "budget", "_top", "_rest", "_sizes", "_top_bytes")
 
-    def __init__(
-        self,
-        k: int,
-        on_tier: TierListener | None = None,
-        budget: int | None = None,
-    ) -> None:
+    def __init__(self, k: int, budget: int | None = None) -> None:
         if k < 0:
             raise ValueError("k must be non-negative")
         if budget is not None and budget < 0:
@@ -64,7 +47,6 @@ class TopKTracker:
         self.budget = budget
         self._top = HeapDict()  # min-heap by value
         self._rest = HeapDict()  # min-heap by -value (max access)
-        self._on_tier = on_tier
         #: Byte-budget mode only: key -> size captured at add time.
         self._sizes: dict[Hashable, int] = {}
         self._top_bytes = 0
@@ -99,18 +81,13 @@ class TopKTracker:
         return -self._rest.priority(key)
 
     def _rebalance(self) -> None:
-        on_tier = self._on_tier
         top, rest = self._top, self._rest
         while len(top) > self.k:
             key, value = top.pop_min()
             rest.push(key, -value)
-            if on_tier is not None:
-                on_tier(key, False)
         while len(top) < self.k and len(rest):
             key, neg = rest.pop_min()
             top.push(key, -neg)
-            if on_tier is not None:
-                on_tier(key, True)
         if self.k and len(top) and len(rest):
             # Swap while the best of the rest beats the worst of the top.
             while True:
@@ -122,12 +99,8 @@ class TopKTracker:
                 rest.pop_min()
                 top.push(rest_key, -rest_neg)
                 rest.push(top_key, -top_val)
-                if on_tier is not None:
-                    on_tier(rest_key, True)
-                    on_tier(top_key, False)
 
     def _rebalance_budget(self) -> None:
-        on_tier = self._on_tier
         top, rest = self._top, self._rest
         sizes = self._sizes
         budget = self.budget
@@ -136,8 +109,6 @@ class TopKTracker:
             key, value = top.pop_min()
             self._top_bytes -= sizes[key]
             rest.push(key, -value)
-            if on_tier is not None:
-                on_tier(key, False)
         # Promote the best of the rest while it fits (greedy by value).
         while len(rest):
             key, neg = rest.peek_min()
@@ -146,8 +117,6 @@ class TopKTracker:
             rest.pop_min()
             top.push(key, -neg)
             self._top_bytes += sizes[key]
-            if on_tier is not None:
-                on_tier(key, True)
         # Swap while the best of the rest beats the worst of the top and
         # the swap stays within budget.
         while len(top) and len(rest):
@@ -162,9 +131,6 @@ class TopKTracker:
             top.push(rest_key, -rest_neg)
             rest.push(top_key, -top_val)
             self._top_bytes += sizes[rest_key] - sizes[top_key]
-            if on_tier is not None:
-                on_tier(rest_key, True)
-                on_tier(top_key, False)
 
     def add(self, key: Hashable, value: float, size: int | None = None) -> None:
         """Insert or update ``key`` at ``value``.
@@ -177,12 +143,8 @@ class TopKTracker:
             self._rest.discard(key)
             if len(self._top) < self.k:
                 self._top.push(key, value)
-                if self._on_tier is not None:
-                    self._on_tier(key, True)
             else:
                 self._rest.push(key, -value)
-                if self._on_tier is not None:
-                    self._on_tier(key, False)
             self._rebalance()
             return
         if self._top.discard(key):
@@ -197,12 +159,8 @@ class TopKTracker:
         if self._top_bytes + size <= self.budget:
             self._top.push(key, value)
             self._top_bytes += size
-            if self._on_tier is not None:
-                self._on_tier(key, True)
         else:
             self._rest.push(key, -value)
-            if self._on_tier is not None:
-                self._on_tier(key, False)
         self._rebalance_budget()
 
     def update(self, key: Hashable, value: float) -> None:
@@ -214,14 +172,11 @@ class TopKTracker:
         in_top = self._top.discard(key)
         removed = in_top or self._rest.discard(key)
         if removed:
-            if self.budget is not None:
-                size = self._sizes.pop(key)
-                if in_top:
-                    self._top_bytes -= size
-            if self._on_tier is not None:
-                self._on_tier(key, None)
             if self.budget is None:
                 self._rebalance()
             else:
+                size = self._sizes.pop(key)
+                if in_top:
+                    self._top_bytes -= size
                 self._rebalance_budget()
         return removed

@@ -113,11 +113,13 @@ class SimulationConfig:
     #: best-effort — stored only where free space exists — and pay off as
     #: availability under client churn.
     p2p_replicas: int = 1
-    #: Request-loop engine: "fast" (presence indexes + precomputed DHT
-    #: placement, the default) or "reference" (the original per-miss scan
-    #: loops and per-object owner memoisation).  Results are identical —
-    #: asserted by the hot-path equivalence suite — except that the two
-    #: engines sample different keys for ``mean_pastry_hops``.
+    #: Hier-GD's request-loop engine: "fast" (presence indexes +
+    #: precomputed DHT placement, the default) or "reference" (per-miss
+    #: scan loops and per-object owner memoisation).  Results are
+    #: identical — asserted by the hot-path equivalence suite — except
+    #: that the two engines sample different keys for
+    #: ``mean_pastry_hops``.  Every other scheme has a single engine and
+    #: ignores this field.
     hot_path: str = "fast"
 
     def __post_init__(self) -> None:

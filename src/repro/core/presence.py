@@ -1,12 +1,14 @@
 """Incrementally-maintained cross-cluster presence indexes.
 
-The reference engine answers "which cooperating cluster holds object X?"
-with an O(n_proxies) scan per miss — every `ScScheme`/`ScEcScheme` miss
-probes each remote cache, and Hier-GD's steps 3–4 scan remote proxies
-and directories.  The hot-path engine inverts that: a
-:class:`PresenceIndex` maps each object to the set of clusters currently
-holding it, updated incrementally at insert/evict time, so a miss costs
-one dict probe.
+Hier-GD's reference engine answers "which cooperating cluster holds
+object X?" with an O(n_proxies) scan per miss over the remote proxies
+and directories.  Its fast engine inverts that: a :class:`PresenceIndex`
+maps each object to the set of clusters currently holding it, updated
+incrementally at insert/evict time, so a miss costs one dict probe.  The
+sharded SC variant (:mod:`repro.shard.schemes`) keeps one too, because a
+worker cannot scan caches living in other processes.  The single-process
+SC and SC-EC schemes scan: at the proxy counts this repository runs, the
+scan is faster than maintaining an index.
 
 Equivalence with the scan is exact because the scan visits clusters in
 ascending index order, skipping the requester: the scan finds

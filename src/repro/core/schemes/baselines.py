@@ -19,7 +19,6 @@ from ...netmodel import TIER_COOP_PROXY, TIER_LOCAL_PROXY, TIER_SERVER
 from ...protocol.transport import Transport
 from ...workload import Trace
 from ..config import SimulationConfig
-from ..presence import PresenceIndex, probes_to
 from ..simulator import CachingScheme
 
 __all__ = ["NcScheme", "ScScheme"]
@@ -47,7 +46,7 @@ class NcScheme(CachingScheme):
         return TIER_LOCAL_PROXY if hit else TIER_SERVER
 
 
-class ScScheme(CachingScheme):
+class ScScheme(NcScheme):
     """Simple cooperation: serve each other's misses, no coordination.
 
     Message accounting (for the overhead-vs-benefit discussion): every
@@ -64,59 +63,24 @@ class ScScheme(CachingScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        self.caches = [
-            LfuCache(s.proxy_size, reset_on_evict=config.lfu_reset_on_evict)
-            for s in self.sizings
-        ]
-        self._fast = config.hot_path == "fast"
-        #: object -> clusters caching it; replaces the per-miss probe scan
-        #: (see :mod:`repro.core.presence` for the equivalence argument).
-        self._presence = PresenceIndex()
         self._probes = 0
         self._coop_fetches = 0
 
     def process(self, cluster: int, client: int, obj: int) -> str:
-        cache = self.caches[cluster]
-        if not self._fast:
-            return self._process_reference(cache, cluster, obj)
         # Remote probes never touch the local cache, so the fused
-        # lookup-or-insert may run first; ``first_holder`` excludes this
-        # cluster, making the index update order irrelevant too.
-        hit, evicted = cache.lookup_or_insert(obj, size=self._size_of(obj))
+        # lookup-or-insert may run before the scan.
+        hit, _ = self.caches[cluster].lookup_or_insert(obj, size=self._size_of(obj))
         if hit:
             return TIER_LOCAL_PROXY
-        presence = self._presence
-        first = presence.first_holder(obj, cluster)
-        self._probes += probes_to(first, cluster, len(self.caches))
-        tier = TIER_SERVER
-        if first is not None:
-            tier = TIER_COOP_PROXY
-            self._coop_fetches += 1
-        stored = True
-        for victim in evicted:
-            if victim == obj:
-                stored = False  # capacity-zero cache rejected the insert
-            else:
-                presence.discard(victim, cluster)
-        if stored:
-            presence.add(obj, cluster)
-        return tier
-
-    def _process_reference(self, cache: LfuCache, cluster: int, obj: int) -> str:
-        if cache.lookup(obj):
-            return TIER_LOCAL_PROXY
-        # Probe cooperating proxies (membership only: a remote probe is
-        # not a local reference at the remote cache).
-        tier = TIER_SERVER
+        # Probe cooperating proxies in ascending order (membership only:
+        # a remote probe is not a local reference at the remote cache).
         for other, remote in enumerate(self.caches):
             if other != cluster:
                 self._probes += 1
                 if remote.contains(obj):
-                    tier = TIER_COOP_PROXY
                     self._coop_fetches += 1
-                    break
-        cache.insert(obj, size=self._size_of(obj))
-        return tier
+                    return TIER_COOP_PROXY
+        return TIER_SERVER
 
     def finalize(self) -> tuple[dict[str, int], dict[str, float]]:
         return {"coop_probes": self._probes, "coop_fetches": self._coop_fetches}, {}

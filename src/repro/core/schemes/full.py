@@ -52,11 +52,9 @@ class FcScheme(CachingScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        if self.transport.faulty:
-            # Same scheme, fault semantics from the transport: only the
-            # serving path changes, so swap it in per instance and leave
-            # the plain ``process`` on the class untouched (hot path).
-            self.process = self._process_faulty  # type: ignore[method-assign]
+        #: Fault-free runs never consult the transport, so a plain run
+        #: (and its recorded exchange trace) carries no exchanges.
+        self._faulty = self.transport.faulty
         self._freq = [t.reference_counts() for t in traces]
         self._freq_total = sum(self._freq)
         self.capacity = sum(s.proxy_size for s in self.sizings)
@@ -84,7 +82,8 @@ class FcScheme(CachingScheme):
 
     # -- placement mutations -------------------------------------------------
 
-    def _add_copy(self, obj: int, cluster: int) -> None:
+    def _add_copy(self, obj: int, cluster: int) -> float:
+        """Place a copy; returns its value (tiered subclasses rank by it)."""
         holders = self._holders.setdefault(obj, set())
         primary = not holders
         holders.add(cluster)
@@ -94,15 +93,15 @@ class FcScheme(CachingScheme):
         self._placement_updates += 1
         size = self._size_of(obj)
         self._used += size
-        self._copies.push((obj, cluster), self._value(obj, cluster, primary) / size)
+        value = self._value(obj, cluster, primary)
+        self._copies.push((obj, cluster), value / size)
+        return value
 
-    def _evict_min(self) -> None:
-        (obj, cluster), _density = self._copies.pop_min()
-        self._drop_copy(obj, cluster)
-
-    def _drop_copy(self, obj: int, cluster: int) -> None:
+    def _drop_copy(self, obj: int, cluster: int) -> int | None:
         """Bookkeeping for a dying copy (its heap entry already popped,
-        or discarded here if a promotion re-pushed it in the meantime)."""
+        or discarded here if a promotion re-pushed it in the meantime).
+
+        Returns the duplicate promoted to primary, if any."""
         self._placement_updates += 1
         self._copies.discard((obj, cluster))
         self._used -= self._size_of(obj)
@@ -112,7 +111,7 @@ class FcScheme(CachingScheme):
         if not holders:
             del self._holders[obj]
             del self._primary[obj]
-            return
+            return None
         if self._primary[obj] == cluster:
             # Promote the most-referenced surviving duplicate to primary.
             new_primary = max(holders, key=lambda q: self._freq[q][obj])
@@ -121,6 +120,8 @@ class FcScheme(CachingScheme):
                 (obj, new_primary),
                 self._value(obj, new_primary, True) / self._size_of(obj),
             )
+            return new_primary
+        return None
 
     def _consider_copy(self, obj: int, cluster: int) -> None:
         """Admit a copy at ``cluster`` if globally worthwhile.
@@ -165,22 +166,13 @@ class FcScheme(CachingScheme):
     def process(self, cluster: int, client: int, obj: int) -> str:
         if obj in self._local[cluster]:
             return TIER_LOCAL_PROXY
-        tier = TIER_COOP_PROXY if obj in self._holders else TIER_SERVER
-        self._consider_copy(obj, cluster)
-        return tier
-
-    def _process_faulty(self, cluster: int, client: int, obj: int) -> str:
-        """Serving path under a fault transport.
-
-        The coordinated *placement* is an oracle (perfect frequencies),
-        so faults bite only the serving path: a remote hit that cannot
-        be fetched within the retry budget falls back to the origin
-        server.  The copy-store bookkeeping is unchanged — the object is
-        fetched and placed as planned, just from farther away.
-        """
-        if obj in self._local[cluster]:
-            return TIER_LOCAL_PROXY
-        if obj in self._holders and self.transport.attempt(PROXY_FETCH):
+        # The coordinated *placement* is an oracle (perfect frequencies),
+        # so faults bite only the serving path: a remote hit that cannot
+        # be fetched within the retry budget falls back to the origin
+        # server, and the object is still placed as planned.
+        if obj in self._holders and (
+            not self._faulty or self.transport.attempt(PROXY_FETCH)
+        ):
             tier = TIER_COOP_PROXY
         else:
             tier = TIER_SERVER
@@ -191,7 +183,7 @@ class FcScheme(CachingScheme):
         """Coordination cost: one update message per placement change."""
         messages = {"placement_updates": self._placement_updates}
         extras: dict[str, float] = {}
-        if self.transport.faulty:
+        if self._faulty:
             messages.update(self.transport.fault_counters)
             extras["extra_latency"] = self.extra_latency
         return messages, extras

@@ -5,11 +5,11 @@ caches not only share their cached objects but also coordinate object
 replacement decisions", with cost-benefit replacement under perfect
 frequency knowledge.
 
-Implementation composes the two building blocks already proven out:
+Implementation reuses FC and adds only the tier split:
 
 * the **global coordinated copy store** of :class:`FcScheme` (primary /
   duplicate copy values, greedy admission against the global minimum),
-  with per-cluster capacity ``proxy_size + p2p_size``;
+  inherited as is, with per-cluster capacity ``proxy_size + p2p_size``;
 * a per-cluster :class:`~repro.cache.topk.TopKTracker` that partitions
   each cluster's copies into the proxy tier (the ``proxy_size`` most
   valuable copies, hits at ``Tl``) and the client tier (the rest, hits
@@ -24,7 +24,6 @@ tier (``Tc``) over one that must push it out of a client cache
 
 from __future__ import annotations
 
-from ...cache import HeapDict
 from ...cache.topk import TopKTracker
 from ...netmodel import (
     TIER_COOP_P2P,
@@ -37,12 +36,12 @@ from ...protocol.messages import PROXY_FETCH, PUSH
 from ...protocol.transport import Transport
 from ...workload import Trace
 from ..config import SimulationConfig
-from ..simulator import CachingScheme
+from .full import FcScheme
 
 __all__ = ["FcEcScheme"]
 
 
-class FcEcScheme(CachingScheme):
+class FcEcScheme(FcScheme):
     """Full coordination across proxy caches and P2P client caches."""
 
     name = "fc-ec"
@@ -54,22 +53,7 @@ class FcEcScheme(CachingScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        if self.transport.faulty:
-            # Same scheme, fault semantics from the transport (see FC).
-            self.process = self._process_faulty  # type: ignore[method-assign]
-        self._freq = [t.reference_counts() for t in traces]
-        self._freq_total = sum(self._freq)
         self.capacity = sum(s.proxy_size + s.p2p_size for s in self.sizings)
-        net = config.network
-        self._benefit_remote = net.benefit_first_copy_remote
-        self._benefit_local = net.benefit_local_copy
-        self._copies = HeapDict()
-        self._holders: dict[int, set[int]] = {}
-        self._primary: dict[int, int] = {}
-        self._local: list[set[int]] = [set() for _ in traces]
-        self._placement_updates = 0
-        #: Capacity units in use (== copy count under unit sizes).
-        self._used = 0
         self._tiers = [
             TopKTracker(
                 s.proxy_size,
@@ -78,83 +62,23 @@ class FcEcScheme(CachingScheme):
             for s in self.sizings
         ]
 
-    def _value(self, obj: int, cluster: int, primary: bool) -> float:
-        v = float(self._freq[cluster][obj]) * self._benefit_local
-        if primary:
-            v += float(self._freq_total[obj]) * self._benefit_remote
-        return v
+    # -- copy store hooks: keep each cluster's tier split in step ----------
 
-    def _add_copy(self, obj: int, cluster: int) -> None:
-        holders = self._holders.setdefault(obj, set())
-        primary = not holders
-        holders.add(cluster)
-        if primary:
-            self._primary[obj] = cluster
-        self._local[cluster].add(obj)
-        self._placement_updates += 1
-        value = self._value(obj, cluster, primary)
-        size = self._size_of(obj)
-        self._used += size
-        self._copies.push((obj, cluster), value / size)
-        self._tiers[cluster].add(obj, value, size=size)
+    def _add_copy(self, obj: int, cluster: int) -> float:
+        value = super()._add_copy(obj, cluster)
+        self._tiers[cluster].add(obj, value, size=self._size_of(obj))
+        return value
 
-    def _evict_min(self) -> None:
-        (obj, cluster), _density = self._copies.pop_min()
-        self._drop_copy(obj, cluster)
-
-    def _drop_copy(self, obj: int, cluster: int) -> None:
-        """Bookkeeping for a dying copy (its heap entry already popped,
-        or discarded here if a promotion re-pushed it in the meantime)."""
-        self._placement_updates += 1
-        self._copies.discard((obj, cluster))
-        self._used -= self._size_of(obj)
-        self._local[cluster].discard(obj)
+    def _drop_copy(self, obj: int, cluster: int) -> int | None:
         self._tiers[cluster].remove(obj)
-        holders = self._holders[obj]
-        holders.discard(cluster)
-        if not holders:
-            del self._holders[obj]
-            del self._primary[obj]
-            return
-        if self._primary[obj] == cluster:
-            new_primary = max(holders, key=lambda q: self._freq[q][obj])
-            self._primary[obj] = new_primary
-            value = self._value(obj, new_primary, True)
-            self._copies.push((obj, new_primary), value / self._size_of(obj))
-            self._tiers[new_primary].update(obj, value)
+        new_primary = super()._drop_copy(obj, cluster)
+        if new_primary is not None:
+            self._tiers[new_primary].update(
+                obj, self._value(obj, new_primary, True)
+            )
+        return new_primary
 
-    def _consider_copy(self, obj: int, cluster: int) -> None:
-        """Greedy global admission; size-aware exactly as in
-        :meth:`FcScheme._consider_copy` (value density vs min-density
-        incumbents, single-victim rule at unit sizes)."""
-        if obj in self._local[cluster]:
-            return
-        size = self._size_of(obj)
-        if size > self.capacity:
-            return
-        primary = obj not in self._holders
-        if self._used + size <= self.capacity:
-            self._add_copy(obj, cluster)
-            return
-        density = self._value(obj, cluster, primary) / size
-        victims: list[tuple[tuple[int, int], float]] = []
-        freed = 0
-        admit = True
-        while self._used - freed + size > self.capacity:
-            victim, vdensity = self._copies.peek_min()
-            if vdensity >= density:
-                admit = False
-                break
-            self._copies.pop_min()
-            victims.append((victim, vdensity))
-            freed += self._size_of(victim[0])
-        if not admit:
-            for key, prio in victims:
-                self._copies.push(key, prio)  # rejection leaves no trace
-            return
-        for (vobj, vcluster), _prio in victims:
-            self._drop_copy(vobj, vcluster)
-        self._add_copy(obj, cluster)
+    # -- request path ------------------------------------------------------
 
     def process(self, cluster: int, client: int, obj: int) -> str:
         if obj in self._local[cluster]:
@@ -163,51 +87,21 @@ class FcEcScheme(CachingScheme):
                 if self._tiers[cluster].in_top(obj)
                 else TIER_LOCAL_P2P
             )
+        # A remote proxy-tier hit rides the cooperating-proxy link and is
+        # preferred over a remote client-tier hit, which rides the push
+        # link (``Tc + Tp2p``).  Local tiers are LAN-side and fault-free,
+        # matching the Hier-GD model where only cooperation links degrade.
         holders = self._holders.get(obj)
-        if holders:
-            # Prefer a remote proxy-tier copy over a remote P2P push.
-            tier = TIER_COOP_P2P
+        if not holders:
+            tier = TIER_SERVER
+        else:
             for q in holders:
                 if self._tiers[q].in_top(obj):
-                    tier = TIER_COOP_PROXY
+                    tier, exchange = TIER_COOP_PROXY, PROXY_FETCH
                     break
-        else:
-            tier = TIER_SERVER
+            else:
+                tier, exchange = TIER_COOP_P2P, PUSH
+            if self._faulty and not self.transport.attempt(exchange):
+                tier = TIER_SERVER
         self._consider_copy(obj, cluster)
         return tier
-
-    def _process_faulty(self, cluster: int, client: int, obj: int) -> str:
-        """Serving path under a fault transport.
-
-        A remote proxy-tier hit rides the cooperating-proxy link; a
-        remote client-tier hit rides the push link (``Tc + Tp2p``).
-        Local tiers (own proxy, own P2P partition) are LAN-side and stay
-        fault-free, matching the Hier-GD model where only cooperation
-        links degrade.
-        """
-        if obj in self._local[cluster]:
-            return (
-                TIER_LOCAL_PROXY
-                if self._tiers[cluster].in_top(obj)
-                else TIER_LOCAL_P2P
-            )
-        holders = self._holders.get(obj)
-        tier = TIER_SERVER
-        if holders:
-            proxy_side = any(self._tiers[q].in_top(obj) for q in holders)
-            if proxy_side:
-                if self.transport.attempt(PROXY_FETCH):
-                    tier = TIER_COOP_PROXY
-            elif self.transport.attempt(PUSH):
-                tier = TIER_COOP_P2P
-        self._consider_copy(obj, cluster)
-        return tier
-
-    def finalize(self) -> tuple[dict[str, int], dict[str, float]]:
-        """Coordination cost: one update message per placement change."""
-        messages = {"placement_updates": self._placement_updates}
-        extras: dict[str, float] = {}
-        if self.transport.faulty:
-            messages.update(self.transport.fault_counters)
-            extras["extra_latency"] = self.extra_latency
-        return messages, extras

@@ -116,7 +116,7 @@ class CachingScheme(ABC):
         """Per-cluster request indexes flattened per engine iteration.
 
         In-memory traces flatten the whole interleave at once (one numpy
-        transpose, as before); chunk-backed traces bound live memory by
+        transpose); chunk-backed traces bound live memory by
         flattening one chunk window at a time — same request order, same
         results, flat RSS.
         """
@@ -132,118 +132,101 @@ class CachingScheme(ABC):
         override it to exchange presence digests at round boundaries
         (:mod:`repro.shard`)."""
 
+    def _interleave(self, a: int, b: int) -> tuple[list, list, list]:
+        """Requests ``[a, b)`` of every cluster, flattened round-robin.
+
+        Returns parallel (cluster, client, object) lists.  One numpy
+        transpose per block; ragged traces (hand-built tests) pad their
+        exhausted clusters and drop those slots again, so the order is
+        the round-robin one with finished clusters skipped.
+        """
+        n_clusters = len(self.traces)
+        rows = b - a
+        objs, clients = [], []
+        ragged = False
+        for t in self.traces:
+            live = min(b, len(t)) - a
+            if live >= rows:
+                objs.append(t.object_slice(a, b))
+                clients.append(t.client_slice(a, b))
+                continue
+            ragged = True
+            o = np.zeros(rows, dtype=np.int64)
+            c = np.zeros(rows, dtype=np.int32)
+            if live > 0:
+                o[:live] = t.object_slice(a, a + live)
+                c[:live] = t.client_slice(a, a + live)
+            objs.append(o)
+            clients.append(c)
+        flat_objs = np.stack(objs, axis=1).ravel()
+        flat_clients = np.stack(clients, axis=1).ravel()
+        if not ragged:
+            clusters = list(range(n_clusters)) * rows
+            return clusters, flat_clients.tolist(), flat_objs.tolist()
+        stops = np.array([len(t) for t in self.traces]) - a
+        keep = (np.arange(rows)[:, None] < stops[None, :]).ravel()
+        clusters = np.tile(np.arange(n_clusters), rows)[keep]
+        return clusters.tolist(), flat_clients[keep].tolist(), flat_objs[keep].tolist()
+
     def run(self) -> SchemeResult:
-        """Replay all traces and return the aggregated result."""
+        """Replay all traces and return the aggregated result.
+
+        One block loop serves every run: each block of the round-robin
+        interleave (the whole trace in memory, one chunk window for
+        chunk-backed traces) is served inside ``map`` — no per-request
+        interpreter iteration.  The warmup prefix is drained into a
+        zero-length deque and ``_in_warmup`` flips exactly at request
+        ``warmup_n``; the rest is tallied per tier by ``Counter``, with
+        latency aggregated per tier at the end and, on sized runs, bytes
+        summed per tier in exact integer arithmetic.
+        """
         net = self.config.network
         latency_of = {tier: net.latency(tier) for tier in ALL_TIERS}
-        tier_counts = dict.fromkeys(ALL_TIERS, 0)
-        total_latency = 0.0
-        n_requests = 0
-        # Byte accounting (size-aware runs only): bytes served per tier
-        # over the measured window.  ``None`` keeps the equal-size request
-        # loop on its original path.
-        bytes_by_tier = (
-            dict.fromkeys(ALL_TIERS, 0) if self.sizes is not None else None
-        )
-
-        process = self.process
-        lengths = {len(t) for t in self.traces}
-        total_expected = sum(len(t) for t in self.traces)
-        warmup_n = self._warmup_requests(total_expected)
+        longest = max(len(t) for t in self.traces)
+        warmup_n = self._warmup_requests(sum(len(t) for t in self.traces))
+        to_warm = warmup_n
         self._in_warmup = warmup_n > 0
+        size_of = self._size_list
+        counted: Counter = Counter()
+        bytes_by_tier: Counter = Counter()
+        block = self._block_requests(longest)
+        for a in range(0, longest, block):
+            b = min(longest, a + block)
+            clusters, clients, objs = self._interleave(a, b)
+            tiers = map(self.process, clusters, clients, objs)
+            skip = 0
+            if to_warm:
+                skip = min(to_warm, len(objs))
+                deque(islice(tiers, skip), maxlen=0)  # warm, not counted
+                to_warm -= skip
+                if to_warm == 0:
+                    self._in_warmup = False
+            if size_of is None:
+                counted.update(tiers)
+            else:
+                served = list(tiers)
+                counted.update(served)
+                for tier, obj in zip(served, islice(objs, skip, None)):
+                    bytes_by_tier[tier] += size_of[obj]
+            self._after_block(b)
+        self._in_warmup = False
 
-        if len(lengths) == 1:
-            # Equal-length traces (every generated workload): flatten the
-            # round-robin interleave up front with one numpy transpose so
-            # the request loop runs entirely inside ``map`` — no
-            # per-request interpreter iteration, length checks, or warmup
-            # branching.  The warmup prefix is drained into a zero-length
-            # deque (statistics excluded), the rest is tallied by
-            # ``Counter`` at C speed, and latency is aggregated per tier
-            # at the end instead of per request.  Chunk-backed traces run
-            # the identical loop one chunk window at a time.
-            n_clusters = len(self.traces)
-            length = lengths.pop()
-            if length:
-                block = self._block_requests(length)
-                counted: Counter = Counter()
-                to_warm = warmup_n
-                for a in range(0, length, block):
-                    b = min(length, a + block)
-                    objs = np.stack(
-                        [t.object_slice(a, b) for t in self.traces], axis=1
-                    ).ravel().tolist()
-                    clients = np.stack(
-                        [t.client_slice(a, b) for t in self.traces], axis=1
-                    ).ravel().tolist()
-                    clusters = list(range(n_clusters)) * (b - a)
-                    tiers = map(process, clusters, clients, objs)
-                    if bytes_by_tier is None:
-                        if to_warm:
-                            drained = min(to_warm, (b - a) * n_clusters)
-                            deque(islice(tiers, drained), maxlen=0)  # warm
-                            to_warm -= drained
-                            if to_warm == 0:
-                                self._in_warmup = False
-                        counted.update(tiers)
-                    else:
-                        # Sized runs keep the served tiers aligned with the
-                        # request stream so bytes land on the right tier.
-                        served = list(tiers)
-                        skip = 0
-                        if to_warm:
-                            skip = min(to_warm, len(served))
-                            to_warm -= skip
-                            if to_warm == 0:
-                                self._in_warmup = False
-                        counted.update(served[skip:])
-                        size_of = self.sizes
-                        for tier, obj in zip(served[skip:], objs[skip:]):
-                            bytes_by_tier[tier] += int(size_of[obj])
-                    self._after_block(b)
-                self._in_warmup = False
-                tier_counts.update(counted)
-                n_requests = length * n_clusters - warmup_n
-                total_latency = sum(
-                    latency_of[t] * n for t, n in tier_counts.items() if n
-                )
-        else:
-            # Ragged traces (hand-built tests): the original general loop.
-            streams = [
-                (t.object_ids.tolist(), t.client_ids.tolist()) for t in self.traces
-            ]
-            longest = max(len(objs) for objs, _ in streams)
-            active = [c for c, (objs, _) in enumerate(streams) if objs]
-            processed = 0
-            for i in range(longest):
-                for c in active:
-                    objs, clients = streams[c]
-                    if i < len(objs):
-                        tier = process(c, clients[i], objs[i])
-                        processed += 1
-                        if processed <= warmup_n:
-                            if processed == warmup_n:
-                                self._in_warmup = False
-                            continue  # caches warm, statistics excluded
-                        tier_counts[tier] += 1
-                        total_latency += latency_of[tier]
-                        n_requests += 1
-                        if bytes_by_tier is not None:
-                            bytes_by_tier[tier] += int(self.sizes[objs[i]])
-
+        tier_counts = dict.fromkeys(ALL_TIERS, 0)
+        tier_counts.update(counted)
+        total_latency = sum(latency_of[t] * n for t, n in tier_counts.items() if n)
         messages, extras = self.finalize()
-        if bytes_by_tier is not None:
+        if size_of is not None:
             extras = dict(extras)
             extras["bytes_total"] = float(sum(bytes_by_tier.values()))
-            for tier, nbytes in bytes_by_tier.items():
-                if nbytes:
-                    extras[f"bytes_{tier}"] = float(nbytes)
+            for tier in ALL_TIERS:
+                if bytes_by_tier[tier]:
+                    extras[f"bytes_{tier}"] = float(bytes_by_tier[tier])
             extras["byte_latency"] = float(
-                sum(latency_of[t] * nb for t, nb in bytes_by_tier.items())
+                sum(latency_of[t] * bytes_by_tier[t] for t in ALL_TIERS)
             )
         return SchemeResult(
             scheme=self.name,
-            n_requests=n_requests,
+            n_requests=sum(counted.values()),
             total_latency=total_latency + self.extra_latency,
             tier_counts={t: n for t, n in tier_counts.items() if n},
             messages=messages,

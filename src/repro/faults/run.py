@@ -28,14 +28,13 @@ to the pre-policy builds.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from ..core.churn import HierGdChurnScheme
 from ..core.config import SimulationConfig
 from ..core.metrics import SchemeResult
 from ..core.run import generate_workloads, run_scheme, with_backend
-from ..core.schemes.full import FcScheme
-from ..core.schemes.full_ec import FcEcScheme
-from ..core.schemes.squirrel import SquirrelScheme
+from ..core.schemes import SCHEME_REGISTRY
 from ..core.simulator import CachingScheme
 from ..protocol.trace import active_trace_recorder
 from ..protocol.transport import FaultTransport, Transport
@@ -90,37 +89,18 @@ def _faulty_hiergd(
     return scheme
 
 
-def _faulty_fc(
+def _faulty_scheme(
+    name: str,
     config: SimulationConfig,
     traces: list[Trace],
     plan: FaultPlan,
     transport: Transport | None = None,
 ) -> CachingScheme:
+    """FC, FC-EC or Squirrel: the registered scheme on a fault transport
+    (its ``process`` consults the transport whenever it is faulty)."""
     if transport is None:
-        transport = _fault_transport(config, plan, "fc")
-    return FcScheme(config, traces, transport=transport)
-
-
-def _faulty_fc_ec(
-    config: SimulationConfig,
-    traces: list[Trace],
-    plan: FaultPlan,
-    transport: Transport | None = None,
-) -> CachingScheme:
-    if transport is None:
-        transport = _fault_transport(config, plan, "fc-ec")
-    return FcEcScheme(config, traces, transport=transport)
-
-
-def _faulty_squirrel(
-    config: SimulationConfig,
-    traces: list[Trace],
-    plan: FaultPlan,
-    transport: Transport | None = None,
-) -> CachingScheme:
-    if transport is None:
-        transport = _fault_transport(config, plan, "squirrel")
-    return SquirrelScheme(config, traces, transport=transport)
+        transport = _fault_transport(config, plan, name)
+    return SCHEME_REGISTRY[name](config, traces, transport=transport)
 
 
 #: Scheme name -> builder assembling the scheme for a non-zero plan
@@ -131,9 +111,7 @@ FAULTY_SCHEMES: dict[
     Callable[..., CachingScheme],
 ] = {
     "hier-gd": _faulty_hiergd,
-    "fc": _faulty_fc,
-    "fc-ec": _faulty_fc_ec,
-    "squirrel": _faulty_squirrel,
+    **{name: partial(_faulty_scheme, name) for name in ("fc", "fc-ec", "squirrel")},
 }
 
 

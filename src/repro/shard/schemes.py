@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from ..core.config import SimulationConfig
 from ..core.hiergd import HierGdScheme
-from ..core.presence import probes_to
+from ..core.presence import PresenceIndex, probes_to
 from ..core.schemes.baselines import NcScheme, ScScheme
 from ..netmodel import (
     TIER_COOP_P2P,
@@ -112,9 +112,13 @@ class ShardedNc(_ShardMixin, NcScheme):
 class ShardedSc(_ShardMixin, ScScheme):
     """SC over shards: remote probes answered by digested presence.
 
-    A remote SC probe is membership-only (the reference scan calls
+    A remote SC probe is membership-only (the ascending scan calls
     ``contains``, never ``lookup``), so cross-shard cooperation needs no
-    remote writes at all — just the presence deltas.
+    remote writes at all — just the presence deltas.  The scan cannot
+    see other processes' caches, so this variant keeps its own
+    :class:`~repro.core.presence.PresenceIndex` over local and digested
+    remote holders; ``first_holder`` picks exactly the cluster the
+    all-in-one-process scan would probe to.
     """
 
     def __init__(
@@ -127,9 +131,10 @@ class ShardedSc(_ShardMixin, ScScheme):
         transport: Transport | None = None,
     ) -> None:
         super().__init__(config, traces, transport)
-        if not self._fast:
-            raise ValueError("sharded sc requires hot_path='fast'")
         self._init_shard(global_clusters, total_clusters, warmup_n)
+        #: object -> global clusters caching it (remote ones as of the
+        #: last round boundary).
+        self._presence = PresenceIndex()
         self._round_base = [set(c._sizes) for c in self.caches]
 
     def process(self, cluster: int, client: int, obj: int) -> str:

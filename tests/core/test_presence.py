@@ -1,10 +1,10 @@
 """Presence-index invariants: unit behaviour and full-trace replay.
 
-The fast engine's presence indexes are only correct if they mirror the
-underlying cache state after *every* mutation.  The replay tests drive a
-scheme request by request (the simulator's round-robin order) and, after
-each request, compare every index against a brute-force scan of the
-actual caches — the strongest form of the equivalence argument in
+Hier-GD's fast-engine presence indexes are only correct if they mirror
+the underlying cache state after *every* mutation.  The replay test
+drives the scheme request by request (the simulator's round-robin order)
+and, after each request, compares every index against a brute-force scan
+of the actual caches — the strongest form of the equivalence argument in
 :mod:`repro.core.presence`.
 """
 
@@ -15,8 +15,6 @@ import pytest
 from repro.core.hiergd import HierGdScheme
 from repro.core.presence import PresenceIndex, probes_to
 from repro.core.run import generate_workloads
-from repro.core.schemes.baselines import ScScheme
-from repro.core.schemes.exploit import ScEcScheme
 from repro.experiments.runner import base_config
 
 
@@ -102,48 +100,6 @@ def replay(scheme, traces, check):
         for ci, trace in enumerate(traces):
             scheme.process(ci, int(trace.client_ids[i]), int(trace.object_ids[i]))
             check(scheme)
-
-
-class TestScReplayInvariant:
-    def test_presence_matches_brute_force(self):
-        cfg = tiny_config()
-        traces = generate_workloads(cfg, seed=0)
-        scheme = ScScheme(cfg, traces)
-
-        def check(s):
-            expected = {}
-            for ci, cache in enumerate(s.caches):
-                for obj in cache.keys():
-                    expected.setdefault(obj, set()).add(ci)
-            assert s._presence.as_dict() == {
-                obj: frozenset(cs) for obj, cs in expected.items()
-            }
-
-        replay(scheme, traces, check)
-
-
-class TestScEcReplayInvariant:
-    def test_tier_indexes_match_brute_force(self):
-        from repro.cache import CLIENT_TIER, PROXY_TIER
-
-        cfg = tiny_config()
-        traces = generate_workloads(cfg, seed=0)
-        scheme = ScEcScheme(cfg, traces)
-
-        def check(s):
-            proxy_tier, client_tier = {}, {}
-            for ci, cache in enumerate(s.caches):
-                for obj in cache.keys():
-                    tier = cache.tier_of(obj)
-                    if tier == PROXY_TIER:
-                        proxy_tier.setdefault(obj, set()).add(ci)
-                    elif tier == CLIENT_TIER:
-                        client_tier.setdefault(obj, set()).add(ci)
-            freeze = lambda d: {o: frozenset(cs) for o, cs in d.items()}
-            assert s._proxy_tier.as_dict() == freeze(proxy_tier)
-            assert s._client_tier.as_dict() == freeze(client_tier)
-
-        replay(scheme, traces, check)
 
 
 class TestHierGdReplayInvariant:

@@ -1,12 +1,17 @@
 """Fast-engine vs reference-engine equivalence (the hot-path contract).
 
-The hot-path engine (presence indexes, precomputed DHT placement, fused
-cache operations) must not change any simulated result: for every scheme
-the :class:`SchemeResult` produced with ``hot_path="fast"`` must be
+Hier-GD carries two request engines behind ``config.hot_path``: the
+fast one (presence indexes, precomputed DHT placement, fused cache
+operations) must not change any simulated result.  The
+:class:`SchemeResult` produced with ``hot_path="fast"`` must be
 byte-identical to ``hot_path="reference"`` — same request count, tier
 counts, total latency and protocol messages, and the same extras except
 ``mean_pastry_hops`` (the fast engine routes only a sampled subset of
 keys through Pastry, so that one statistic is allowed to differ).
+
+Every other scheme has a single engine; for those the same comparison
+pins that ``hot_path`` is inert.  Their correctness references are the
+naive models (e.g. ``tests/core/test_squirrel_oracle.py``).
 """
 
 import dataclasses

@@ -13,7 +13,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import byte_hit_rate, byte_latency_gain
 from repro.core.run import available_schemes, run_scheme
 from repro.core.schemes import NcScheme
-from repro.netmodel import ALL_TIERS
+from repro.netmodel import ALL_TIERS, TIER_SERVER
 from repro.workload import ProWGenConfig, generate_cluster_traces
 from repro.workload.trace import Trace
 
@@ -33,17 +33,43 @@ def sized_setup(seed, n_proxies=2, **overrides):
     return cfg, traces
 
 
+def measured_bytes(traces, warmup_n):
+    """Bytes asked for by the requests after the warmup prefix, counted
+    from the traces alone (round-robin order, one Web-wide size table)."""
+    objs = np.stack([t.object_ids for t in traces], axis=1).ravel()
+    return int(traces[0].sizes[objs[warmup_n:]].sum())
+
+
 class TestByteConservation:
     @pytest.mark.parametrize("scheme", available_schemes())
     def test_tier_bytes_sum_to_total(self, scheme):
         cfg, traces = sized_setup(seed=1)
         result = run_scheme(scheme, cfg, traces)
-        total = result.extras["bytes_total"]
-        assert total > 0
-        assert sum(
-            result.extras.get(f"bytes_{t}", 0.0) for t in ALL_TIERS
-        ) == pytest.approx(total)
+        want = measured_bytes(traces, 0)
+        assert result.extras["bytes_total"] == want
+        assert sum(result.extras.get(f"bytes_{t}", 0.0) for t in ALL_TIERS) == want
         assert 0.0 <= byte_hit_rate(result) <= 1.0
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_bytes_after_warmup_match_trace(self, scheme):
+        cfg, traces = sized_setup(seed=1, warmup_fraction=0.1)
+        result = run_scheme(scheme, cfg, traces)
+        warmup_n = int(0.1 * sum(len(t) for t in traces))
+        assert result.n_requests == sum(len(t) for t in traces) - warmup_n
+        want = measured_bytes(traces, warmup_n)
+        assert result.extras["bytes_total"] == want
+        assert sum(result.extras.get(f"bytes_{t}", 0.0) for t in ALL_TIERS) == want
+
+    def test_squirrel_warmup_keeps_miss_detour_latency(self):
+        # Off-tier latency after the warmup window must be charged on
+        # sized runs too: every measured home miss pays one LAN detour.
+        cfg, traces = sized_setup(seed=1, warmup_fraction=0.1)
+        result = run_scheme("squirrel", cfg, traces)
+        misses = result.tier_counts[TIER_SERVER]
+        assert misses > 0
+        assert result.extras["extra_latency"] == pytest.approx(
+            cfg.network.t_p2p * misses, rel=1e-12
+        )
 
     @pytest.mark.parametrize("scheme", available_schemes())
     def test_byte_latency_is_tier_weighted_byte_sum(self, scheme):
