@@ -3,7 +3,8 @@
 These are classic throughput benchmarks (statistical, many rounds) for
 the data structures the guides' profiling workflow identified as the
 per-request cost drivers: cache policy operations, DHT owner resolution,
-Pastry routing, Bloom filter probes, and workload generation.
+Pastry routing, Bloom filter probes, and workload generation; plus
+overlay construction, by joins and by the bulk build large clusters use.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from repro.bloom import BloomFilter, CountingBloomFilter
 from repro.cache import GreedyDualCache, LfuCache, LruCache, TieredCache
-from repro.overlay import Dht, Overlay
+from repro.overlay import ChordOverlay, Dht, Overlay
 from repro.workload import ProWGenConfig, generate_trace
 from repro.workload.zipf import AliasSampler, zipf_weights
 
@@ -110,3 +111,16 @@ def test_workload_generation_throughput(benchmark):
 def test_overlay_construction(benchmark):
     overlay = benchmark(lambda: Overlay.build(100))
     assert len(overlay) == 100
+
+
+@pytest.mark.parametrize("backend", [Overlay, ChordOverlay], ids=["pastry", "chord"])
+def test_bulk_overlay_construction(benchmark, backend):
+    names = [f"cluster0/cache{i}" for i in range(2000)]
+
+    def build():
+        overlay = backend()
+        overlay.bulk_add_named(names)
+        return overlay
+
+    overlay = benchmark(build)
+    assert len(overlay) == 2000

@@ -124,13 +124,29 @@ class ChordOverlay(OverlayBackend):
         node.predecessor = ids[(idx - 1) % n] if n > 1 else None
 
     def _finger_state(self, node: ChordNode) -> None:
-        """Build the full finger table from the live ring."""
+        """Build the full finger table from the live ring.
+
+        Finger ``i`` is ``successor(me + 2**i)``.  When that successor is
+        ``t``, every finger ``j >= i`` with ``2**j <= cw(me, t)`` resolves
+        to ``t`` too, so one bisect fills the whole run: about ``log2 N``
+        bisects per node instead of one per finger.  Once the successor
+        wraps back to this node, it and every later finger is None.
+        """
         me = node.node_id
+        ids = self._sorted_ids
+        n = len(ids)
         size = self.space.size
+        bits = self.space.bits
         fingers: list[int | None] = []
-        for i in range(self.space.bits):
-            target = self._successor_id((me + (1 << i)) % size)
-            fingers.append(target if target != me else None)
+        i = 0
+        while i < bits:
+            target = ids[bisect.bisect_left(ids, (me + (1 << i)) % size) % n]
+            if target == me:
+                fingers.extend([None] * (bits - i))
+                break
+            run_end = ((target - me) % size).bit_length()
+            fingers.extend([target] * (run_end - i))
+            i = run_end
         node.fingers = fingers
 
     def _init_node(self, node: ChordNode) -> None:
@@ -155,10 +171,7 @@ class ChordOverlay(OverlayBackend):
         routing tolerates (the candidate filter never overshoots a key),
         so placement stays exact at the cost of the occasional extra hop.
         """
-        if node_id in self.nodes:
-            raise ValueError(f"node {self.space.format_id(node_id)} already in ring")
-        if not self.space.contains(node_id):
-            raise ValueError("node id outside id space")
+        self._check_new_ids([node_id], "ring")
         new = ChordNode(node_id, self.space)
         self.nodes[node_id] = new
         self._insert_sorted(node_id)
@@ -168,19 +181,18 @@ class ChordOverlay(OverlayBackend):
         return new
 
     def bulk_add_named(self, names: list[str]) -> list[ChordNode]:
-        """Add many named nodes at once, materialising the converged ring."""
-        created: list[ChordNode] = []
-        for name in names:
-            node_id = self.space.node_id(name)
-            if node_id in self.nodes:
-                raise ValueError(
-                    f"node {self.space.format_id(node_id)} already in ring"
-                )
-            if not self.space.contains(node_id):
-                raise ValueError("node id outside id space")
-            node = ChordNode(node_id, self.space)
-            self.nodes[node_id] = node
-            created.append(node)
+        """Add many named nodes at once, materialising the converged ring.
+
+        Every name is validated before anything changes, so a rejected
+        call leaves the ring as it was.  Each node's state is rebuilt from
+        the live ring: O(log N) bisects for its fingers (see
+        :meth:`_finger_state`) plus its successor window.
+        """
+        new_ids = [self.space.node_id(name) for name in names]
+        self._check_new_ids(new_ids, "ring")
+        created = [ChordNode(node_id, self.space) for node_id in new_ids]
+        for node in created:
+            self.nodes[node.node_id] = node
         self._sorted_ids = sorted(self.nodes)
         self.epoch += len(created)
         for node in self.nodes.values():

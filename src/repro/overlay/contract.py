@@ -310,6 +310,21 @@ class OverlayBackend(ABC):
 
     # -- shared helpers for concrete backends -----------------------------
 
+    def _check_new_ids(self, node_ids: list[int], where: str) -> None:
+        """Raise ValueError unless every id is inside the id space, not
+        live, and not repeated (``where`` names the membership in the
+        message); callers check before mutating anything, so a rejected
+        join leaves the overlay unchanged."""
+        seen: set[int] = set()
+        for node_id in node_ids:
+            if node_id in self.nodes or node_id in seen:
+                raise ValueError(
+                    f"node {self.space.format_id(node_id)} already in {where}"
+                )
+            if not self.space.contains(node_id):
+                raise ValueError("node id outside id space")
+            seen.add(node_id)
+
     def _insert_sorted(self, node_id: int) -> None:
         bisect.insort(self._sorted_ids, node_id)
 

@@ -35,9 +35,18 @@ import numpy as np
 from .contract import OverlayBackend, RouteResult, RouteStats
 from .coords import coords_for_name, torus_distance
 from .id_space import IdSpace
-from .pastry import DEFAULT_LEAF_SET_SIZE, PastryNode
+from .pastry import DEFAULT_LEAF_SET_SIZE, PastryNode, RoutingTable
 
 __all__ = ["RouteResult", "RouteStats", "Overlay"]
+
+
+def _slot_interval(space: IdSpace, owner: int, row: int, col: int) -> tuple[int, int]:
+    """Half-open id interval ``[lo, hi)`` of routing-table slot
+    ``(row, col)`` at ``owner``: the ids sharing the owner's first
+    ``row`` digits whose digit ``row`` is ``col``."""
+    shift = space.bits - (row + 1) * space.b
+    lo = (((owner >> (shift + space.b)) << space.b) | col) << shift
+    return lo, lo + (1 << shift)
 
 
 class Overlay(OverlayBackend):
@@ -104,88 +113,99 @@ class Overlay(OverlayBackend):
         every leaf set.  Incremental joins announce each newcomer to all
         live nodes, so each leaf set converges to the ``l/2`` ring-closest
         neighbours per side regardless of join order — exactly what this
-        builds directly (and LeafSet stores each side sorted by distance,
-        so even the list layout matches).  Routing tables are filled by
-        offering every node to every node; first-offer-wins slot contention
-        can resolve differently than under join order, so only *sampled
-        hop statistics* may differ — routing correctness and DHT ownership
-        do not.  O(N^2) total work instead of the join path's O(N^2 log N)
-        with much smaller constants; the hot-path engine uses this for
-        cluster construction.
+        builds directly from the ring-adjacent ids (and LeafSet stores each
+        side sorted by distance, so even the list layout matches).
+
+        Routing tables converge to offering every live id to every node in
+        ascending order, first offer winning: each empty slot ``(p, c)``
+        takes the *smallest* live id in its slot interval (see
+        :func:`_slot_interval`), and occupied slots keep their incumbent.
+        That can resolve slot contention differently than join order, so
+        only *sampled hop statistics* may differ — routing correctness and
+        DHT ownership do not.  Each node bisects the sorted ids once per
+        populated slot, stopping at the first row whose prefix interval
+        holds only itself: O(N · rows · 2**b · log N) in total.  With the
+        proximity heuristic every id is still offered to every node
+        (O(N²)), so the physically closest eligible node wins each slot.
+
+        Every name is validated before anything changes, so a rejected
+        call leaves the overlay as it was.
         """
+        new_ids = [self.space.node_id(name) for name in names]
+        self._check_new_ids(new_ids, "overlay")
         created: list[PastryNode] = []
-        for name in names:
-            node_id = self.space.node_id(name)
-            if node_id in self.nodes:
-                raise ValueError(
-                    f"node {self.space.format_id(node_id)} already in overlay"
-                )
-            if not self.space.contains(node_id):
-                raise ValueError("node id outside id space")
+        for name, node_id in zip(names, new_ids):
             node = PastryNode(node_id, self.space, self.leaf_size)
             self.nodes[node_id] = node
             self.coords[node_id] = coords_for_name(name)
             created.append(node)
-        self._sorted_ids = sorted(self.nodes)
+        self._sorted_ids = ids = sorted(self.nodes)
         self.epoch += len(created)
-        ids = self._sorted_ids
         n = len(ids)
         space = self.space
-        bits = space.bits
-        b = space.b
-        ndigits = bits // b
-        mask = (1 << b) - 1
-        size = 1 << bits
-        offer_span = range(1, min(self.leaf_size + 1, n))
-        for node in self.nodes.values():
-            prefer = self._prefer_for(node.node_id)
-            me = node.node_id
-            idx = bisect.bisect_left(ids, me)
-            # Leaf sets: only ring-adjacent nodes can be members, so offer
-            # up to leaf_size neighbours per side; each side ends up with
-            # the l/2 ring-closest of the offers whatever the order, so
-            # fill the sides directly (same final state as LeafSet.add,
-            # ascending-distance layout included).
-            offers = {ids[(idx + off) % n] for off in offer_span}
-            offers.update(ids[(idx - off) % n] for off in offer_span)
-            offers.discard(me)
-            cw_side: list[tuple[int, int]] = []
-            ccw_side: list[tuple[int, int]] = []
-            for cand in offers:
-                cw = (cand - me) % size
-                ccw = size - cw
-                if cw <= ccw:
-                    cw_side.append((cw, cand))
-                else:
-                    ccw_side.append((ccw, cand))
-            cw_side.sort()
-            ccw_side.sort()
+        size = space.size
+        half_size = size >> 1
+        half = self.leaf_size // 2
+        # Leaf sets: each side holds the l/2 ring-closest ids on its side
+        # of the ring, and ring order is distance order, so a side is a
+        # prefix of the ring-adjacent run in that direction, cut where an
+        # id is more than half the ring away (cw <= ccw goes clockwise);
+        # the cut only bites on tiny or lopsided rings.
+        k = min(half, n - 1)
+        ring = ids[n - k :] + ids + ids[:k]
+        for idx, me in enumerate(ids):
+            node = self.nodes[me]
+            larger = ring[idx + k + 1 : idx + 2 * k + 1]
+            ldist = [(c - me) % size for c in larger]
+            cut = bisect.bisect_right(ldist, half_size)
+            smaller = ring[idx : idx + k][::-1]
+            sdist = [(me - c) % size for c in smaller]
+            scut = bisect.bisect_left(sdist, half_size)
             leaves = node.leaves
-            half = leaves.half
-            leaves.larger = [c for _, c in cw_side[:half]]
-            leaves._ldist = [d for d, _ in cw_side[:half]]
-            leaves.smaller = [c for _, c in ccw_side[:half]]
-            leaves._sdist = [d for d, _ in ccw_side[:half]]
-            # Routing table: offer everyone (the converged join gossip).
-            # Without a proximity heuristic the first eligible offer wins,
-            # so the slot fill is RoutingTable.consider with the prefix
-            # and digit arithmetic inlined.
+            leaves.larger, leaves._ldist = larger[:cut], ldist[:cut]
+            leaves.smaller, leaves._sdist = smaller[:scut], sdist[:scut]
+            prefer = self._prefer_for(me)
             if prefer is None:
-                rows = node.table.rows
-                for other in ids:
-                    if other == me:
-                        continue
-                    p = (bits - (me ^ other).bit_length()) // b
-                    row = rows[p]
-                    col = (other >> ((ndigits - 1 - p) * b)) & mask
-                    if row[col] is None:
-                        row[col] = other
+                self._fill_table(node.table, ids)
             else:
                 table = node.table
                 for other in ids:
                     if other != me:
                         table.consider(other, prefer=prefer)
         return created
+
+    def _fill_table(self, table: RoutingTable, ids: list[int]) -> None:
+        """Fill each empty slot of ``table`` with the smallest live id in
+        its slot interval — the first-offer-wins outcome of offering
+        ``ids`` in ascending order.
+
+        Row ``p`` draws from the ids sharing the owner's first ``p``
+        digits, a contiguous run of ``ids``; the run is walked one column
+        block at a time, and the owner's own block is row ``p + 1``'s
+        run.  The walk stops at the first run holding only the owner.
+        """
+        me = table.owner
+        rows = table.rows
+        lo_i, hi_i = 0, len(ids)
+        p = 0
+        while hi_i - lo_i > 1:
+            row = rows[p]
+            # Column c's block is [base + c << shift, base + (c + 1) << shift).
+            base, block_end = _slot_interval(self.space, me, p, 0)
+            shift = (block_end - base).bit_length() - 1
+            own = (me - base) >> shift
+            i = lo_i
+            while i < hi_i:
+                other = ids[i]
+                col = (other - base) >> shift
+                end = bisect.bisect_left(ids, base + ((col + 1) << shift), i + 1, hi_i)
+                if col == own:
+                    next_lo, next_hi = i, end
+                elif row[col] is None:
+                    row[col] = other
+                i = end
+            lo_i, hi_i = next_lo, next_hi
+            p += 1
 
     def join(
         self, node_id: int, coords: tuple[float, float] | None = None
@@ -200,10 +220,7 @@ class Overlay(OverlayBackend):
         simulated here by offering X to all nodes whose leaf set or
         eligible routing slot it affects).
         """
-        if node_id in self.nodes:
-            raise ValueError(f"node {self.space.format_id(node_id)} already in overlay")
-        if not self.space.contains(node_id):
-            raise ValueError("node id outside id space")
+        self._check_new_ids([node_id], "overlay")
         new = PastryNode(node_id, self.space, self.leaf_size)
         self.coords[node_id] = (
             coords if coords is not None else coords_for_name(self.space.format_id(node_id))
@@ -273,12 +290,7 @@ class Overlay(OverlayBackend):
         self._slot_refills += 1
         space = self.space
         p = space.prefix_len(survivor.node_id, dead_id)
-        col = space.digit(dead_id, p)
-        shift = space.bits - (p + 1) * space.b
-        # The survivor's first p digits followed by the dead node's digit.
-        prefix = (survivor.node_id >> (space.bits - p * space.b)) if p else 0
-        lo = ((prefix << space.b) | col) << shift
-        hi = lo + (1 << shift)
+        lo, hi = _slot_interval(space, survivor.node_id, p, space.digit(dead_id, p))
         ids = self._sorted_ids
         prefer = self._prefer_for(survivor.node_id)
         i = bisect.bisect_left(ids, lo)

@@ -138,9 +138,8 @@ class RoutingTable:
     def __init__(self, owner: int, space: IdSpace) -> None:
         self.owner = owner
         self.space = space
-        self.rows: list[list[int | None]] = [
-            [None] * space.digit_base for _ in range(space.ndigits)
-        ]
+        base = space.digit_base
+        self.rows: list[list[int | None]] = [[None] * base for _ in range(space.ndigits)]
         # The column matching the owner's own digit in each row is by
         # definition the owner itself; keep it None (never routed to).
 

@@ -52,7 +52,7 @@ class TestRingState:
         ov = ChordOverlay()
         ov.bulk_add_named([f"cache-{i}" for i in range(25)])
         ids = ov.node_ids()
-        for nid in ids[:5]:
+        for nid in ids:
             node = ov.node(nid)
             for i, finger in enumerate(node.fingers):
                 target = (nid + (1 << i)) % ov.space.size
