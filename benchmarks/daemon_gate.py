@@ -25,10 +25,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.core.run import run_scheme
 from repro.daemon import LocalCluster, drive_scheme
 from repro.experiments.robustness import ROBUSTNESS_FRACTION, robustness_plan
 from repro.experiments.runner import base_config
-from repro.faults.run import run_scheme_with_faults
 from repro.protocol.replay import format_report, replay_trace
 from repro.protocol.trace import recording_traces
 
@@ -75,7 +75,7 @@ def run_gate(scheme: str, rate: float, out_dir: Path) -> list[str]:
         )
 
     with recording_traces(out_dir / "sim") as recorder:
-        run_scheme_with_faults(scheme, config, plan=plan, seed=0)
+        run_scheme(scheme, config, seed=0, plan=plan)
     sim_path = recorder.written[-1]
     if sim_path.read_bytes() != live.trace_path.read_bytes():
         failures.append(

@@ -49,7 +49,7 @@ CHORD_CASES = [
 
 def cases():
     """The full Pastry equivalence suite (schemes x directories x rates)."""
-    from repro.faults.run import FAULTY_SCHEMES
+    from repro.faults import FAULTY_SCHEMES
 
     for s in SCHEMES:
         yield (s, "exact", "fast", 0.0)
@@ -66,7 +66,6 @@ def run_case(scheme, directory, hot, rate, overlay="pastry", traces_cache=None):
     from repro.experiments.robustness import robustness_plan
     from repro.experiments.runner import base_config
     from repro.experiments.store import serialize_result
-    from repro.faults.run import run_scheme_with_faults
 
     cfg = base_config(
         proxy_cache_fraction=FRACTION,
@@ -80,13 +79,8 @@ def run_case(scheme, directory, hot, rate, overlay="pastry", traces_cache=None):
     if tkey not in traces_cache:
         traces_cache[tkey] = generate_workloads(cfg, seed=SEED)
     traces = traces_cache[tkey]
-    if rate > 0:
-        res = run_scheme_with_faults(
-            scheme, cfg, traces, plan=robustness_plan(rate, seed=SEED), seed=SEED
-        )
-    else:
-        res = run_scheme(scheme, cfg, traces, seed=SEED)
-    return serialize_result(res)
+    plan = robustness_plan(rate, seed=SEED) if rate > 0 else None
+    return serialize_result(run_scheme(scheme, cfg, traces, seed=SEED, plan=plan))
 
 
 def label_for(scheme, directory, hot, rate):

@@ -16,10 +16,10 @@ Usage::
 import dataclasses
 import sys
 
+from repro.core.run import run_scheme
 from repro.daemon import LocalCluster, drive_scheme
 from repro.experiments.robustness import ROBUSTNESS_FRACTION, robustness_plan
 from repro.experiments.runner import SCALES, base_config
-from repro.faults.run import run_scheme_with_faults
 
 SCHEME = "hier-gd"
 RATE = 0.1
@@ -54,7 +54,7 @@ def main() -> None:
         # is sharded round-robin, so the runs legitimately differ.)
         solo = {"proxy": routes["proxy"], "client": routes["client"][:1]}
         live = drive_scheme(SCHEME, config, routes=solo, plan=plan, seed=0)
-        simulated = run_scheme_with_faults(SCHEME, config, plan=plan, seed=0)
+        simulated = run_scheme(SCHEME, config, seed=0, plan=plan)
         identical = dataclasses.asdict(live.result) == dataclasses.asdict(simulated)
         verdict = "byte-identical" if identical else "DIVERGED"
         print(f"\nsolo-daemon live run vs pure simulation: {verdict}")

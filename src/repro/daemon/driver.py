@@ -10,16 +10,17 @@ trace event, byte for byte) supplies the outcome, the exact latency
 charges and the fault-counter deltas the driver re-applies locally in
 recorded order.
 
-:func:`drive_scheme` is the entry point: it rebuilds a run exactly like
-:func:`~repro.protocol.replay.replay_trace` does (same workload
-regrowth, same scheme construction, same request counter) but carries it
-over a :class:`DaemonTransport`, optionally wrapped in the PR-5
-:class:`~repro.protocol.trace.RecordingTransport` — so a **live** run
-produces the same JSONL exchange traces as a simulated one, replayable
-by the same harness.  With one daemon per role, every fault link's RNG
-substream lives whole on one connection and advances in the scheme's
-serial call order, which makes the live trace byte-identical to a
-simulated recording of the same ``(config, scheme, seed, plan)``.
+:func:`drive_scheme` is the entry point: it runs the scheme through
+:func:`~repro.core.run.run_scheme` exactly like a simulated run (same
+workload regrowth, same builder, same request counter) but carries it
+over a :class:`DaemonTransport`, recorded by the standard
+:class:`~repro.protocol.trace.RecordingTransport` when asked — so a
+**live** run produces the same JSONL exchange traces as a simulated
+one, replayable by the same harness.  With one daemon per role, every
+fault link's RNG substream lives whole on one connection and advances
+in the scheme's serial call order, which makes the live trace
+byte-identical to a simulated recording of the same ``(config, scheme,
+seed, plan)``.
 
 Determinism fine print: the driver keeps exactly the fault decisions that
 never crossed the wire in the simulator local — lossy eviction notices
@@ -35,14 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import socket
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any
 
 from ..protocol.messages import FAULT_COUNTERS, Exchange
 from ..protocol.trace import (
     DEFAULT_MAX_EVENTS,
-    TraceRecorder,
     attach_request_counter,
+    recording_traces,
 )
 from ..protocol.transport import Transport
 from ..protocol.wire import (
@@ -311,63 +313,42 @@ def drive_scheme(
 ) -> DriveReport:
     """Run scheme ``name`` live against the daemons in ``routes``.
 
-    Construction mirrors :func:`~repro.protocol.replay.replay_trace`:
-    the workload regrows from ``seed``, the scheme is built through the
-    same registry/builder dispatch, and the transport — here a
-    :class:`DaemonTransport` — answers every cooperation exchange.  With
-    ``record_dir`` the transport is wrapped in the standard
-    :class:`~repro.protocol.trace.RecordingTransport`, so the live run
-    leaves the same JSONL exchange trace a simulated run would, sealed
-    complete only if the run finishes.
+    The run goes through :func:`~repro.core.run.run_scheme` like a
+    simulated one: the workload regrows from ``seed``, the scheme is
+    built by the same builder (so a non-faultable scheme runs plain at
+    any fault rate, exactly as in the simulator), and the transport —
+    here a :class:`DaemonTransport` — answers every cooperation
+    exchange.  With ``record_dir`` the run is recorded there like any
+    other, so the live run leaves the same JSONL exchange trace a
+    simulated run would, sealed complete only if the run finishes.
     """
+    from ..core.run import active_plan, run_scheme
     from ..core.schemes import SCHEME_REGISTRY
     from ..workload import generate_cluster_traces
 
-    active = plan is not None and not plan.is_zero()
-    if active:
-        from ..faults.run import FAULTY_SCHEMES
-
-        if name not in FAULTY_SCHEMES:
-            raise ValueError(
-                f"no faulty builder for scheme {name!r} "
-                f"(have: {', '.join(FAULTY_SCHEMES)})"
-            )
-    elif name not in SCHEME_REGISTRY:
+    if name not in SCHEME_REGISTRY:
         raise ValueError(
             f"unknown scheme {name!r} (have: {', '.join(SCHEME_REGISTRY)})"
         )
+    plan = active_plan(name, plan)
     traces = generate_cluster_traces(config.workload, config.n_proxies, seed=seed)
-    transport = DaemonTransport(
-        config.network, routes, plan=plan if active else None, scope=name
+    transport = DaemonTransport(config.network, routes, plan=plan, scope=name)
+    recording = (
+        nullcontext()
+        if record_dir is None
+        else recording_traces(record_dir, max_events=max_events)
     )
-    recorder = recording = None
-    carrier: Transport = transport
-    if record_dir is not None:
-        recorder = TraceRecorder(record_dir, max_events=max_events)
-        recording = recorder.open(
-            name, config, seed, plan if active else None, transport
-        )
-        carrier = recording
-    result = None
     try:
-        if active:
-            scheme = FAULTY_SCHEMES[name](config, traces, plan, transport=carrier)
-        else:
-            scheme = SCHEME_REGISTRY[name](config, traces, transport=carrier)
-        # Both layers keep their own request counter; the wrappers chain.
-        transport.attach(scheme)
-        if recording is not None:
-            recording.attach(scheme)
-        result = scheme.run()
+        with recording as recorder:
+            result = run_scheme(
+                name, config, traces, seed=seed, transport=transport, plan=plan
+            )
     finally:
-        if recorder is not None and recording is not None:
-            # A crashed run seals an *incomplete* trace (result=None).
-            recorder.close(recording, result)
         transport.close()
     return DriveReport(
         scheme=name,
         seed=seed,
-        plan_label=plan.label if active else "none",
+        plan_label=plan.label if plan is not None else "none",
         n_requests=sum(len(t) for t in traces),
         exchanges=transport.exchanges_sent,
         probes=transport.probes_sent,

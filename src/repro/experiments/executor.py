@@ -51,7 +51,8 @@ from typing import Any, Callable, Sequence
 
 from ..core.config import SimulationConfig
 from ..core.metrics import SchemeResult
-from ..faults import FaultPlan, run_scheme_with_faults
+from ..core.run import run_scheme
+from ..faults import FaultPlan
 from ..workload import Trace, generate_cluster_traces
 from .instrument import RunInstrumentation, print_progress
 from .store import ResultStore, deserialize_result, point_key, serialize_result
@@ -198,27 +199,22 @@ def run_point(point: SweepPoint) -> dict[str, Any]:
     """
     started = time.perf_counter()
     cfg = point.resolved_config
-    if point.shards > 1:
-        if point._active_faults is not None:
-            raise ValueError("fault plans are single-process; use shards=1")
-        from ..shard import run_scheme_sharded
-
-        shard_stats: dict[str, Any] = {}
-        result = run_scheme_sharded(
-            point.scheme,
-            cfg,
-            seed=point.seed,
-            shards=point.shards,
-            stats_out=shard_stats,
-        )
+    sharded = point.shards > 1
+    shard_stats: dict[str, Any] = {}
+    # seed rides along so a recording made of this point carries the
+    # true trace seed (replay regenerates the workload from it).
+    result = run_scheme(
+        point.scheme,
+        cfg,
+        None if sharded else _cluster_traces(cfg, point.seed),
+        seed=point.seed,
+        shards=point.shards,
+        plan=point.faults,
+        stats_out=shard_stats,
+    )
+    if sharded:
         max_rss_kb = int(shard_stats.get("worker_max_rss_kb", 0))
     else:
-        traces = _cluster_traces(cfg, point.seed)
-        # seed rides along so a recording made of this point carries the
-        # true trace seed (replay regenerates the workload from it).
-        result = run_scheme_with_faults(
-            point.scheme, cfg, traces, plan=point.faults, seed=point.seed
-        )
         # Lifetime high-water mark of this worker process — an upper
         # bound on the point's own footprint, and exactly the quantity
         # the scale gate tracks (does memory grow with trace length?).

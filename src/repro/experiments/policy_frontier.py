@@ -43,6 +43,7 @@ import tempfile
 from pathlib import Path
 
 from ..analysis.results import SweepResult
+from ..core.run import run_scheme
 from ..faults.plan import FaultPlan
 from ..protocol.policy import PolicySet, RetryPolicy
 from ..protocol.trace import recording_traces
@@ -89,10 +90,8 @@ def _record_cell(
     name: str, config, plan: FaultPlan, seed: int, directory: Path
 ) -> Path:
     """Simulate one (scheme, rate) cell under the default ladder, recorded."""
-    from ..faults.run import run_scheme_with_faults
-
     with recording_traces(directory) as recorder:
-        run_scheme_with_faults(name, config, plan=plan, seed=seed)
+        run_scheme(name, config, seed=seed, plan=plan)
     return recorder.written[-1]
 
 

@@ -195,9 +195,9 @@ def cache_size_sweep(
         gains: dict[str, list[float]] = {name: [] for name in schemes}
         for fraction in fractions:
             cfg = config.with_changes(proxy_cache_fraction=fraction)
-            baseline = run_scheme("nc", cfg, traces)
+            baseline = run_scheme("nc", cfg, traces, seed=seed)
             for name in schemes:
-                result = run_scheme(name, cfg, traces)
+                result = run_scheme(name, cfg, traces, seed=seed)
                 gains[name].append(100.0 * latency_gain(result, baseline))
         for name in schemes:
             sweep.add(name, gains[name])
@@ -231,4 +231,8 @@ def single_point(
     """(scheme result, NC baseline) at one configuration point."""
     if traces is None:
         traces = generate_cluster_traces(config.workload, config.n_proxies, seed=seed)
-    return run_scheme(scheme, config, traces), run_scheme("nc", config, traces)
+    # seed rides along so a recording of these runs names the true trace seed.
+    return (
+        run_scheme(scheme, config, traces, seed=seed),
+        run_scheme("nc", config, traces, seed=seed),
+    )

@@ -11,8 +11,11 @@ seeded experiment input:
   fault draw replays identically from the plan seed.
 - :mod:`repro.faults.poisson` — churn-event generation from a rate,
   subsuming hand-written :class:`~repro.core.churn.ChurnEvent` lists.
-- :mod:`repro.faults.run` — :func:`run_scheme_with_faults`, the
-  dispatching entry point (zero plans take the plain code path).
+- :mod:`repro.faults.run` — :data:`FAULTY_SCHEMES`, the schemes whose
+  cooperation path faults degrade (everything else, and every scheme
+  under a zero plan, runs plain).  A faulty run is launched like any
+  other, through :func:`repro.core.run.run_scheme` with ``plan=``;
+  :func:`run_scheme_with_faults` remains as a forwarder to it.
 
 The failure *semantics* — timeout → bounded retry (exponential backoff)
 → fallback-to-origin, every wasted round charged to latency — live in

@@ -387,39 +387,27 @@ def replay_trace(path: str | Path) -> ReplayReport:
             f"result={'present' if trace.recorded_result else 'missing'}) — "
             "refusing to replay a truncated recording"
         )
+    from ..core.run import build_scheme
+    from ..core.schemes import SCHEME_REGISTRY
+    from ..workload import generate_cluster_traces
+
+    name = trace.scheme
+    if name not in SCHEME_REGISTRY:
+        raise TraceFormatError(
+            f"{trace.path}: unknown scheme {name!r} "
+            f"(have: {', '.join(SCHEME_REGISTRY)})"
+        )
     config = _config_from_fingerprint(trace.header["config"])
     plan = None
     if trace.header.get("plan") is not None:
         from ..faults.plan import FaultPlan
 
         plan = FaultPlan(**trace.header["plan"])
-    from ..workload import generate_cluster_traces
-
     traces = generate_cluster_traces(
         config.workload, config.n_proxies, seed=trace.seed
     )
-    transport = ReplayTransport(
-        config.network, trace.events, plan=plan, scope=trace.scheme
-    )
-    name = trace.scheme
-    if plan is not None and not plan.is_zero():
-        from ..faults.run import FAULTY_SCHEMES
-
-        if name not in FAULTY_SCHEMES:
-            raise TraceFormatError(
-                f"{trace.path}: no faulty builder for scheme {name!r} "
-                f"(have: {', '.join(FAULTY_SCHEMES)})"
-            )
-        scheme = FAULTY_SCHEMES[name](config, traces, plan, transport=transport)
-    else:
-        from ..core.schemes import SCHEME_REGISTRY
-
-        if name not in SCHEME_REGISTRY:
-            raise TraceFormatError(
-                f"{trace.path}: unknown scheme {name!r} "
-                f"(have: {', '.join(SCHEME_REGISTRY)})"
-            )
-        scheme = SCHEME_REGISTRY[name](config, traces, transport=transport)
+    transport = ReplayTransport(config.network, trace.events, plan=plan, scope=name)
+    scheme = build_scheme(name, config, traces, plan, transport)
     transport.attach(scheme)
 
     divergence: Divergence | None = None

@@ -38,10 +38,10 @@ modified :class:`~repro.protocol.policy.RetryPolicy`; schema-1 traces
 
 Recording is armed process-wide through :func:`recording_traces` (the
 same pattern as :func:`repro.perf.profiling.collecting_op_counters`);
-:func:`repro.core.run.run_scheme` and
-:func:`repro.faults.run.run_scheme_with_faults` check for an active
-recorder once per scheme run and wrap their transport when one is
-present — nothing per-request, nothing when recording is off.
+:func:`repro.core.run.run_scheme` (every plain, faulty and live run)
+checks for an active recorder once per scheme run and wraps its
+transport when one is present — nothing per-request, nothing when
+recording is off.
 
 A writer past its event bound counts drops instead of growing without
 limit, and the closing footer then carries ``"complete": false`` — a
@@ -225,8 +225,9 @@ class RecordingTransport(TransportLayer):
         self.inner.bind(_ChargeTap(self, scheme))
 
     def attach(self, scheme: Any) -> None:
-        """Start counting request indices (call after scheme construction)."""
+        """Start counting request indices here and in the stack below."""
         attach_request_counter(self, scheme)
+        self.inner.attach(scheme)
 
     def _snapshot(self) -> dict[str, int] | None:
         """Fault-counter state before an exchange (None = no fault layer)."""

@@ -93,6 +93,13 @@ class Transport:
         """Attach the running scheme's warmup-aware latency sink."""
         self._charge = scheme.add_extra_latency
 
+    def attach(self, scheme: Any) -> None:
+        """Hook the fully constructed scheme (request-index counters).
+
+        Called once per run after construction, where :meth:`bind` runs
+        during it; the base stack keeps no per-request state.
+        """
+
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
         """Carry one exchange; True iff it (eventually) got through.
 
@@ -189,6 +196,10 @@ class TransportLayer(Transport):
         """Attach the scheme's latency sink to this layer and the stack below."""
         super().bind(scheme)
         self.inner.bind(scheme)
+
+    def attach(self, scheme: Any) -> None:
+        """Hook the constructed scheme into the stack below."""
+        self.inner.attach(scheme)
 
     def attempt(self, exchange: Exchange, force_fail: bool = False) -> bool:
         """Delegate the exchange to the wrapped transport."""

@@ -37,9 +37,9 @@ when ``policies=None``) every re-judged ladder reproduces its recorded
 event exactly — same uniforms, same float arithmetic — so no event
 changes and the report returns the recorded
 :class:`~repro.core.metrics.SchemeResult` **byte-identically** (the
-``policy_gate`` CI job asserts this; any drift means the draws field and
-the engine have diverged and is reported as changed events, never
-papered over).
+``benchmarks/identity_gate.py`` CI gate asserts this; any drift means
+the draws field and the engine have diverged and is reported as changed
+events, never papered over).
 
 Under a *modified* policy the result is a **fixed-stream
 approximation**: the recorded exchange stream is held fixed, so

@@ -114,6 +114,27 @@ class TestEndToEnd:
         assert sim.name == live.trace_path.name  # same content key
         assert sim.read_bytes() == live.trace_path.read_bytes()
 
+    def test_live_non_faultable_scheme_runs_plain_like_simulation(
+        self, cluster, tmp_path
+    ):
+        # SC has no faultable cooperation path: the simulator runs it plain
+        # at any fault rate and records plan=None, and so must the driver.
+        plan = FaultPlan(p2p_loss=0.1, proxy_loss=0.1, push_loss=0.1, seed=7)
+        live = drive_scheme(
+            "sc",
+            cfg(),
+            routes=cluster.routes,
+            plan=plan,
+            seed=3,
+            record_dir=tmp_path / "live",
+        )
+        with recording_traces(tmp_path / "sim") as recorder:
+            run_scheme_with_faults("sc", cfg(), plan=plan, seed=3)
+        sim = recorder.written[0]
+        assert live.plan_label == "none"
+        assert sim.name == live.trace_path.name
+        assert sim.read_bytes() == live.trace_path.read_bytes()
+
     def test_probe_answers_are_the_injectors(self, cluster):
         scope = "fc"
         transport = DaemonTransport(

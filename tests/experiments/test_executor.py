@@ -108,6 +108,14 @@ class TestSweepPoint:
         direct = run_scheme("hier-gd", point.resolved_config, traces)
         assert deserialize_result(run_point(point)["result"]) == direct
 
+    def test_sharded_fault_plan_refused(self):
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(p2p_loss=0.1, seed=1)
+        point = SweepPoint("hier-gd", 0.2, tiny_config(), seed=1, faults=plan, shards=2)
+        with pytest.raises(ValueError, match="shards=2.*single-process"):
+            run_point(point)
+
 
 class TestEngineEquivalence:
     def test_serial_equals_parallel(self):

@@ -13,10 +13,13 @@ import dataclasses
 
 import pytest
 
+from repro.core.churn import HierGdChurnScheme
 from repro.core.config import SimulationConfig
 from repro.core.metrics import FAULT_COUNTERS
-from repro.core.run import run_scheme
+from repro.core.run import active_plan, build_scheme, run_scheme
+from repro.core.schemes import SCHEME_REGISTRY
 from repro.faults import FAULTY_SCHEMES, FaultPlan, run_scheme_with_faults
+from repro.perf.profiling import collecting_op_counters
 from repro.workload import ProWGenConfig, generate_cluster_traces
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
@@ -147,3 +150,39 @@ class TestFaultSemantics:
     def test_fault_summary_zero_on_plain_results(self, traces):
         result = run_scheme("fc", cfg(), traces)
         assert result.fault_summary() == dict.fromkeys(FAULT_COUNTERS, 0)
+
+
+class TestOneRunPath:
+    """``run_scheme(plan=...)`` is the faulty entry point; one builder
+    assembles every scheme."""
+
+    @pytest.mark.parametrize("name", ["hier-gd", "fc", "sc"])
+    def test_forwarder_equals_run_scheme_with_plan(self, name, traces):
+        direct = run_scheme(name, cfg(), traces, plan=FULL_PLAN)
+        forwarded = run_scheme_with_faults(name, cfg(), traces, plan=FULL_PLAN)
+        assert dataclasses.asdict(direct) == dataclasses.asdict(forwarded)
+
+    def test_builder_assembles_faulty_hier_gd(self, traces):
+        scheme = build_scheme("hier-gd", cfg(), traces, FULL_PLAN)
+        assert isinstance(scheme, HierGdChurnScheme)
+        assert scheme.name == "hier-gd"
+        assert scheme.transport.faulty
+
+    @pytest.mark.parametrize("plan", [FULL_PLAN, FaultPlan(), None])
+    def test_builder_runs_non_faultable_schemes_plain(self, plan, traces):
+        scheme = build_scheme("sc", cfg(), traces, plan)
+        assert type(scheme) is SCHEME_REGISTRY["sc"]
+        assert not scheme.transport.faulty
+        assert active_plan("sc", plan) is None
+
+    def test_sharded_active_plan_refused(self):
+        with pytest.raises(ValueError, match="shards=2.*single-process"):
+            run_scheme("hier-gd", cfg(), plan=FULL_PLAN, shards=2)
+
+    def test_faulty_runs_stay_out_of_op_counters(self, traces):
+        # Callers profiling faulty runs book them themselves; reporting
+        # them here too would count every cache operation twice.
+        with collecting_op_counters() as collector:
+            run_scheme("fc", cfg(), traces, plan=FULL_PLAN)
+            run_scheme("sc", cfg(), traces, plan=FULL_PLAN)
+        assert set(collector.per_scheme) == {"sc"}

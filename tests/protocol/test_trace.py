@@ -12,7 +12,8 @@ import dataclasses
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.run import run_scheme
+from repro.core.run import run_all_schemes, run_scheme
+from repro.experiments.runner import cache_size_sweep, single_point
 from repro.faults import FaultPlan
 from repro.faults.run import run_scheme_with_faults
 from repro.protocol import (
@@ -22,7 +23,7 @@ from repro.protocol import (
     trace_key,
 )
 from repro.protocol.trace import TraceWriter
-from repro.workload import ProWGenConfig
+from repro.workload import ProWGenConfig, generate_cluster_traces
 
 TINY = ProWGenConfig(n_requests=3000, n_objects=300, n_clients=10)
 
@@ -81,6 +82,37 @@ class TestRecordingIsTransparent:
         assert report.n_events == 0
         assert report.divergence is None
         assert report.identical
+
+
+class TestRecordedSeed:
+    """Runs over pre-generated traces record the seed they came from."""
+
+    def test_run_all_schemes_recording_replays(self, tmp_path):
+        with recording_traces(tmp_path) as recorder:
+            run_all_schemes(cfg(), schemes=["hier-gd"], seed=7)
+        report = replay_trace(recorder.written[0])
+        assert report.seed == 7
+        assert report.divergence is None
+        assert report.identical
+
+    def test_single_point_recordings_replay(self, tmp_path):
+        with recording_traces(tmp_path) as recorder:
+            single_point(cfg(), "fc", seed=7)
+        assert len(recorder.written) == 2  # the scheme and its NC baseline
+        for path in recorder.written:
+            report = replay_trace(path)
+            assert report.seed == 7
+            assert report.identical
+
+    def test_sweep_over_supplied_traces_recordings_replay(self, tmp_path):
+        traces = generate_cluster_traces(TINY, 2, seed=7)
+        with recording_traces(tmp_path) as recorder:
+            cache_size_sweep(cfg(), ("fc",), (0.3,), seed=7, traces=traces)
+        assert len(recorder.written) == 2  # fc and its NC baseline
+        for path in recorder.written:
+            report = replay_trace(path)
+            assert report.seed == 7
+            assert report.identical
 
 
 class TestBoundedWriter:
